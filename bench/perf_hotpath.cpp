@@ -302,6 +302,18 @@ StormRow bench_driver_storm(std::uint64_t accesses) {
   return row;
 }
 
+/// One TLB lookup in either tree: generation-tagged entries take the
+/// block's generation (constant here — the storm evicts nothing), the
+/// baseline's page-only entries take the page alone.
+template <typename T>
+bool tlb_lookup(T& tlb, PageNum p) {
+  if constexpr (requires { tlb.access(p); }) {
+    return tlb.access(p);
+  } else {
+    return tlb.access(p, [] { return std::uint32_t{0}; });
+  }
+}
+
 /// Per-SM TLB in isolation: the lookup-or-install that runs once per access,
 /// over a stream mixing sequential runs (hits) with scattered jumps (misses).
 StormRow bench_tlb_storm(std::uint64_t lookups) {
@@ -313,7 +325,7 @@ StormRow bench_tlb_storm(std::uint64_t lookups) {
   const auto t0 = Clock::now();
   for (std::uint64_t i = 0; i < lookups; ++i) {
     p = (i & 7) != 0 ? p + 1 : rng.below(1u << 20);  // 7 sequential : 1 jump
-    if (tlb.access(p)) ++hits;
+    if (tlb_lookup(tlb, p)) ++hits;
   }
   row.wall_ms = ms_since(t0);
   row.ops = lookups;

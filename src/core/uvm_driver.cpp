@@ -39,6 +39,8 @@ UvmDriver::UvmDriver(const SimConfig& cfg, const AddressSpace& space,
   }
   // Per-block placement-hint table (cudaMemAdvise model).
   block_advice_.assign(space.total_blocks(), MemAdvice::kNone);
+  waiter_head_.assign(space.total_blocks(), kNoWaiter);
+  waiter_tail_.assign(space.total_blocks(), kNoWaiter);
   for (const Allocation& a : space.allocations()) {
     if (a.advice == MemAdvice::kNone) continue;
     for (BlockNum b = block_of(a.base); b < block_of(a.base) + a.padded_size / kBasicBlockSize;
@@ -172,7 +174,7 @@ AccessOutcome UvmDriver::access_impl(WarpId w, VirtAddr addr, AccessType type,
     }
     case Residence::kInFlight: {
       // The block is already on its way; join the waiters.
-      waiters_[b].push_back(w);
+      add_waiter(b, w);
       return AccessOutcome{true, 0};
     }
     case Residence::kHost:
@@ -265,8 +267,25 @@ AccessOutcome UvmDriver::access_impl(WarpId w, VirtAddr addr, AccessType type,
   return AccessOutcome{true, 0};
 }
 
+void UvmDriver::add_waiter(BlockNum b, WarpId w) {
+  std::uint32_t n = waiter_free_;
+  if (n != kNoWaiter) {
+    waiter_free_ = waiter_nodes_[n].next;
+    waiter_nodes_[n] = WaiterNode{w, kNoWaiter};
+  } else {
+    n = static_cast<std::uint32_t>(waiter_nodes_.size());
+    waiter_nodes_.push_back(WaiterNode{w, kNoWaiter});
+  }
+  if (waiter_head_[b] == kNoWaiter) {
+    waiter_head_[b] = n;
+  } else {
+    waiter_nodes_[waiter_tail_[b]].next = n;
+  }
+  waiter_tail_[b] = n;
+}
+
 void UvmDriver::raise_fault(BlockNum b, WarpId w, bool with_prefetch) {
-  waiters_[b].push_back(w);
+  add_waiter(b, w);
   table_.mark_in_flight(b);
   ++queued_fault_blocks_;
   pending_.push_back(PendingFault{b, with_prefetch});
@@ -360,7 +379,7 @@ bool UvmDriver::evict_for(ChunkNum faulting_chunk, Cycle now, Cycle& writeback_r
       const Cycle host_done = host_mem_->acquire(now, kBasicBlockSize);
       writeback_ready = std::max({writeback_ready, done, host_done});
     }
-    if (tlb_invalidate_) tlb_invalidate_(v);
+    if (evicted_hook_ != nullptr) evicted_hook_(evicted_ctx_, v);
   }
   // Coalesced per-victim bookkeeping: one device-memory release and one
   // stats update for the whole victim set (observationally identical — the
@@ -521,16 +540,22 @@ void UvmDriver::on_block_arrival_impl(BlockNum b) {
                 << " arrived with no transfer in flight at cycle " << now);
   --in_flight_;
 
-  const auto it = waiters_.find(b);
-  if (it != waiters_.end()) {
+  std::uint32_t n = waiter_head_[b];
+  if (n != kNoWaiter) {
+    waiter_head_[b] = kNoWaiter;
     // The faulted access replays and completes with a local DRAM access.
     const Cycle drained = dram_.acquire(now, kWarpAccessBytes);
     const Cycle ready = drained + cfg_.gpu.dram_latency;
-    for (WarpId w : it->second) {
+    // Wake in join order; each node returns to the pool before its waker
+    // runs (indices, not references, survive a pool reallocation).
+    while (n != kNoWaiter) {
+      const WaiterNode node = waiter_nodes_[n];
+      waiter_nodes_[n].next = waiter_free_;
+      waiter_free_ = n;
       ++stats_.replayed_accesses;
-      if (waker_) waker_(w, ready);
+      if (waker_ != nullptr) waker_(waker_ctx_, node.warp, ready);
+      n = node.next;
     }
-    waiters_.erase(it);
   }
   maybe_start_engine();
   if constexpr (kAudit) audit_->on_event(audit_scope(), stats_);

@@ -20,7 +20,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "check/audit.hpp"
@@ -51,10 +50,15 @@ struct AccessOutcome {
 
 class UvmDriver {
  public:
-  /// `waker(warp, ready)` is invoked when a stalled warp's access completes.
-  using WarpWaker = std::function<void(WarpId, Cycle)>;
-  /// Optional callback to invalidate SM TLB entries of an evicted block.
-  using TlbInvalidate = std::function<void(BlockNum)>;
+  /// `fn(ctx, warp, ready)` is invoked when a stalled warp's access
+  /// completes. A plain function pointer + context (the idiom of
+  /// EventQueue::register_warp_stepper): one indirect call per wake-up.
+  using WarpWakeFn = void (*)(void* ctx, WarpId w, Cycle ready);
+  /// `fn(ctx, block)` is invoked for every block evicted from device memory.
+  /// Only state that must be dropped eagerly needs it (the optional L2
+  /// model); SM TLBs detect stale entries through the block's eviction count
+  /// (BlockTable::round_trips) instead.
+  using BlockEvictedFn = void (*)(void* ctx, BlockNum b);
 
   /// `shared_host_mem` (optional) is the host-DRAM bandwidth regulator; pass
   /// one shared instance when several drivers (GPUs) contend for the same
@@ -63,8 +67,14 @@ class UvmDriver {
             EventQueue& queue, SimStats& stats,
             BandwidthRegulator* shared_host_mem = nullptr);
 
-  void set_warp_waker(WarpWaker w) { waker_ = std::move(w); }
-  void set_tlb_invalidate(TlbInvalidate f) { tlb_invalidate_ = std::move(f); }
+  void set_warp_waker(WarpWakeFn fn, void* ctx) noexcept {
+    waker_ = fn;
+    waker_ctx_ = ctx;
+  }
+  void set_block_evicted_hook(BlockEvictedFn fn, void* ctx) noexcept {
+    evicted_hook_ = fn;
+    evicted_ctx_ = ctx;
+  }
   void set_trace_sink(TraceSink* sink) { trace_ = sink; }
   /// Attach this driver (as GPU `gpu_id`) to a multi-GPU peer directory:
   /// residency is published and remote accesses may be served over the peer
@@ -115,6 +125,8 @@ class UvmDriver {
   void roll_feature_window(Cycle now) noexcept;
   [[nodiscard]] AuditScope audit_scope() const noexcept;
   void raise_fault(BlockNum b, WarpId w, bool with_prefetch);
+  /// Append warp `w` to block `b`'s FIFO of stalled warps.
+  void add_waiter(BlockNum b, WarpId w);
   void maybe_start_engine();
   void process_batch();
   /// Runtime dispatchers picking the <kTrace, kAudit> instantiation that
@@ -165,7 +177,21 @@ class UvmDriver {
   BandwidthRegulator* host_mem_;
 
   std::vector<MemAdvice> block_advice_;  ///< per-block placement hint
-  std::unordered_map<BlockNum, std::vector<WarpId>> waiters_;
+  /// Warps stalled on in-flight blocks: one FIFO list per block, threaded
+  /// through a pooled node array (head/tail per block, a next link per
+  /// node), so joining and waking never hash or allocate once the pool has
+  /// reached its high-water mark. A node per stall rather than per warp:
+  /// GpuModel stalls a warp on one block at a time, but harnesses driving
+  /// the driver directly may stall one warp id on several blocks.
+  struct WaiterNode {
+    WarpId warp;
+    std::uint32_t next;
+  };
+  static constexpr std::uint32_t kNoWaiter = ~std::uint32_t{0};
+  std::vector<std::uint32_t> waiter_head_;  ///< per block; kNoWaiter = none
+  std::vector<std::uint32_t> waiter_tail_;  ///< per block; valid when head is
+  std::vector<WaiterNode> waiter_nodes_;
+  std::uint32_t waiter_free_ = kNoWaiter;   ///< free-list head into the pool
   /// Fault queue as a vector + head cursor (FIFO; the head range is compacted
   /// away whenever the queue drains, which it does every few batches).
   std::vector<PendingFault> pending_;
@@ -177,8 +203,10 @@ class UvmDriver {
   /// engine batch) — no transfer enqueued for them yet.
   std::uint64_t queued_fault_blocks_ = 0;
 
-  WarpWaker waker_;
-  TlbInvalidate tlb_invalidate_;
+  WarpWakeFn waker_ = nullptr;
+  void* waker_ctx_ = nullptr;
+  BlockEvictedFn evicted_hook_ = nullptr;
+  void* evicted_ctx_ = nullptr;
   TraceSink* trace_ = nullptr;
   PeerDirectory* peers_ = nullptr;
   std::uint32_t gpu_id_ = 0;

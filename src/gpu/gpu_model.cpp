@@ -18,14 +18,18 @@ GpuModel::GpuModel(const SimConfig& cfg, EventQueue& queue, UvmDriver& driver, S
 
   if (cfg.gpu.l2.enabled) l2_ = std::make_unique<L2Cache>(cfg.gpu.l2);
 
-  driver_.set_warp_waker([this](WarpId w, Cycle ready) { wake_warp(w, ready); });
-  driver_.set_tlb_invalidate([this](BlockNum b) {
-    const PageNum first = first_page_of_block(b);
-    for (auto& tlb : tlbs_) {
-      for (PageNum p = first; p < first + kPagesPerBlock; ++p) tlb.invalidate(p);
-    }
-    if (l2_) l2_->invalidate_block(b);
-  });
+  driver_.set_warp_waker(&GpuModel::wake_warp_thunk, this);
+  // TLBs need no eviction callback (their entries carry block generations);
+  // the L2 does, because invalid lines steer its victim choice.
+  if (l2_) driver_.set_block_evicted_hook(&GpuModel::invalidate_l2_thunk, this);
+}
+
+void GpuModel::wake_warp_thunk(void* ctx, WarpId w, Cycle ready) {
+  static_cast<GpuModel*>(ctx)->wake_warp(w, ready);
+}
+
+void GpuModel::invalidate_l2_thunk(void* ctx, BlockNum b) {
+  static_cast<GpuModel*>(ctx)->l2_->invalidate_block(b);
 }
 
 bool GpuModel::refill(WarpCtx& warp) {
@@ -90,8 +94,12 @@ void GpuModel::step_warp(WarpId w) {
   sm_next_issue_[warp.sm] = issue + 1;
 
   // TLB lookup; a miss pays the page-table-walk latency before the access.
+  // The entry's generation is its block's eviction count, so an entry
+  // installed before the block was last evicted misses.
   Cycle start = issue;
-  if (tlbs_[warp.sm].access(page_of(a.addr))) {
+  const PageNum page = page_of(a.addr);
+  const BlockTable& table = driver_.blocks();
+  if (tlbs_[warp.sm].access(page, [&] { return table.round_trips(block_of_page(page)); })) {
     ++stats_.tlb_hits;
   } else {
     ++stats_.tlb_misses;

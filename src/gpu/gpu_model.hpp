@@ -54,6 +54,9 @@ class GpuModel {
   static void step_warp_thunk(void* ctx, WarpId w);
   /// Called by the driver when a stalled warp's access completes.
   void wake_warp(WarpId w, Cycle ready);
+  static void wake_warp_thunk(void* ctx, WarpId w, Cycle ready);
+  /// Driver eviction hook, registered only when the L2 model is on.
+  static void invalidate_l2_thunk(void* ctx, BlockNum b);
   void finish_access(WarpId w, Cycle done);
   bool refill(WarpCtx& warp);
   void retire_warp(WarpId w);

@@ -5,8 +5,10 @@
 // exposed for fidelity ablations (SimConfig::gpu.l2).
 //
 // Coherence with migration: when the driver evicts a basic block from device
-// memory, the GPU invalidates the block's L2 lines (alongside the TLB
-// shootdown), so stale lines never serve data the device no longer owns.
+// memory, its eviction hook invalidates the block's L2 lines eagerly (invalid
+// lines steer victim choice, so this cannot be deferred the way the TLBs'
+// generation check is), and stale lines never serve data the device no
+// longer owns.
 #pragma once
 
 #include <cstdint>

@@ -13,6 +13,12 @@ MultiGpuSimulator::MultiGpuSimulator(SimConfig cfg, MultiGpuConfig mg)
     : cfg_(std::move(cfg)), mg_(mg) {
   cfg_.validate();
   if (mg_.num_gpus == 0) throw std::invalid_argument("MultiGpuSimulator: num_gpus == 0");
+  if (mg_.num_gpus > PeerDirectory::kMaxGpus) {
+    throw std::invalid_argument("MultiGpuSimulator: num_gpus = " +
+                                std::to_string(mg_.num_gpus) + " exceeds the " +
+                                std::to_string(PeerDirectory::kMaxGpus) +
+                                "-GPU peer directory");
+  }
 }
 
 MultiGpuResult MultiGpuSimulator::run(Workload& workload) {

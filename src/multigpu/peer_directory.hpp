@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "check/check.hpp"
 #include "sim/types.hpp"
 #include "xfer/bandwidth.hpp"
 
@@ -27,22 +28,23 @@ struct PeerFabricConfig {
 
 class PeerDirectory {
  public:
+  /// GPUs the per-block holder mask can represent (one bit per GPU).
+  static constexpr std::uint32_t kMaxGpus = 32;
+
   PeerDirectory(std::uint64_t total_blocks, const PeerFabricConfig& cfg,
                 double core_clock_ghz)
       : holders_(total_blocks, 0),
         cfg_(cfg),
         fabric_(cfg.bandwidth_gbps / core_clock_ghz) {}
 
-  void set_resident(BlockNum b, std::uint32_t gpu) {
-    holders_[b] |= static_cast<std::uint8_t>(1u << gpu);
-  }
-  void clear_resident(BlockNum b, std::uint32_t gpu) {
-    holders_[b] &= static_cast<std::uint8_t>(~(1u << gpu));
-  }
+  /// `gpu` must be below kMaxGpus (MultiGpuSimulator rejects larger
+  /// configurations up front).
+  void set_resident(BlockNum b, std::uint32_t gpu) { holders_[b] |= bit(gpu); }
+  void clear_resident(BlockNum b, std::uint32_t gpu) { holders_[b] &= ~bit(gpu); }
 
   /// True when some GPU other than `gpu` holds block `b`.
   [[nodiscard]] bool held_by_peer(BlockNum b, std::uint32_t gpu) const {
-    return (holders_[b] & ~(1u << gpu)) != 0;
+    return (holders_[b] & ~bit(gpu)) != 0;
   }
 
   /// Reserve fabric time for a peer zero-copy access of `count`
@@ -57,7 +59,13 @@ class PeerDirectory {
   [[nodiscard]] const BandwidthRegulator& fabric() const noexcept { return fabric_; }
 
  private:
-  std::vector<std::uint8_t> holders_;  ///< bitmask of holding GPUs (<= 8)
+  static std::uint32_t bit(std::uint32_t gpu) {
+    UVM_CHECK(gpu < kMaxGpus, "PeerDirectory: gpu " << gpu << " beyond the " << kMaxGpus
+                                                    << "-GPU holder mask");
+    return std::uint32_t{1} << gpu;
+  }
+
+  std::vector<std::uint32_t> holders_;  ///< bitmask of holding GPUs (< kMaxGpus)
   PeerFabricConfig cfg_;
   BandwidthRegulator fabric_;
 };

@@ -81,12 +81,15 @@ void TreePrefetcher::expand(BlockNum b, const BlockTable& table, std::vector<Blo
   const auto leaf = static_cast<std::uint32_t>(b - first);
   occupied |= 1u << leaf;
 
-  std::uint32_t mask = expand_mask(occupied, leaf, n);
+  // Selected leaves are unoccupied (host-resident, not in `out`, not the
+  // demand leaf), so they need no re-check. Subtrees stay below leaf n
+  // because AddressSpace rounds chunk block counts to powers of two; the
+  // mask keeps that true for any n.
+  std::uint32_t mask = expand_mask(occupied, leaf, n) & (n >= 32 ? ~0u : (1u << n) - 1u);
   while (mask != 0) {
     const auto i = static_cast<std::uint32_t>(std::countr_zero(mask));
     mask &= mask - 1;
-    const BlockNum nb = first + i;
-    if (prefetchable(nb, table, out)) out.push_back(nb);
+    out.push_back(first + i);
   }
 }
 

@@ -33,7 +33,7 @@ Cycle EventQueue::rescan_wheel_from(Cycle from) const noexcept {
 }
 
 void EventQueue::sift_up(std::size_t i) noexcept {
-  const HeapEntry v = heap_[i];
+  const FarEntry v = heap_[i];
   while (i != 0) {
     const std::size_t parent = (i - 1) / 4;
     if (!before(v, heap_[parent])) break;
@@ -44,7 +44,7 @@ void EventQueue::sift_up(std::size_t i) noexcept {
 }
 
 void EventQueue::sift_down(std::size_t i) noexcept {
-  const HeapEntry v = heap_[i];
+  const FarEntry v = heap_[i];
   const std::size_t n = heap_.size();
   for (;;) {
     const std::size_t first = 4 * i + 1;
@@ -77,23 +77,48 @@ void EventQueue::fire(std::uint32_t payload, std::uint32_t kind) {
   }
 }
 
+EventQueue::FarEntry EventQueue::pop_far() noexcept {
+  FarEntry e;
+  if (lane_first()) {
+    e = lane_[lane_head_++];
+    if (lane_head_ == lane_.size()) {
+      lane_.clear();
+      lane_head_ = 0;
+    } else if (lane_head_ >= kLaneCompactMin && lane_head_ * 2 >= lane_.size()) {
+      // Amortised O(1): the prefix dropped is at least as long as what moves.
+      lane_.erase(lane_.begin(), lane_.begin() + static_cast<std::ptrdiff_t>(lane_head_));
+      lane_head_ = 0;
+    }
+  } else {
+    e = heap_.front();
+    heap_.front() = heap_.back();
+    heap_.pop_back();
+    if (!heap_.empty()) sift_down(0);
+  }
+  far_next_ = kNeverCycle;
+  if (!heap_.empty()) far_next_ = heap_.front().when;
+  if (!lane_.empty() && lane_[lane_head_].when < far_next_) far_next_ = lane_[lane_head_].when;
+  return e;
+}
+
 bool EventQueue::step() {
-  const bool have_wheel = wheel_count_ != 0;
-  // Heap events stay in the heap even once the clock brings them inside the
-  // wheel span — ordering is enforced by merging the two fronts here.
-  bool take_wheel = have_wheel;
-  if (have_wheel && !heap_.empty()) {
-    const HeapEntry& h = heap_.front();
-    if (h.when != wheel_next_) {
-      take_wheel = wheel_next_ < h.when;
-    } else {
+  // Far events stay in the heap or lane even once the clock brings them
+  // inside the wheel span — ordering is enforced by merging the fronts here.
+  // Common case: the wheel front is strictly earlier than anything far (an
+  // empty wheel has wheel_next_ == kNeverCycle, so this implies non-empty).
+  bool take_wheel = wheel_next_ < far_next_;
+  if (!take_wheel) {
+    if (heap_.empty() && lane_.empty()) {
+      if (wheel_count_ == 0) return false;
+      take_wheel = true;
+    } else if (wheel_count_ != 0 && wheel_next_ == far_next_) {
+      // Same-cycle tie between the wheel and the far front: lower seq wins.
+      const FarEntry& far = lane_first() ? lane_[lane_head_] : heap_.front();
       const std::vector<Entry>& bucket =
           buckets_[static_cast<std::size_t>(wheel_next_) & kWheelMask];
       const std::size_t pos = drain_cycle_ == wheel_next_ ? drain_pos_ : 0;
-      take_wheel = bucket[pos].seq < h.seq;
+      take_wheel = bucket[pos].seq < far.seq;
     }
-  } else if (!have_wheel && heap_.empty()) {
-    return false;
   }
 
   if (take_wheel) {
@@ -117,10 +142,7 @@ bool EventQueue::step() {
     }
     fire(e.payload, e.kind);
   } else {
-    const HeapEntry e = heap_.front();
-    heap_.front() = heap_.back();
-    heap_.pop_back();
-    if (!heap_.empty()) sift_down(0);
+    const FarEntry e = pop_far();
     now_ = e.when;
     fire(e.payload, e.kind);
   }

@@ -3,17 +3,23 @@
 // same-cycle events fire in schedule order (deterministic replay).
 //
 // Hot-path layout (see docs/PERF.md): the queue is a hierarchical timing
-// wheel over a 4-ary heap fallback. Events landing within the wheel span
-// (`when - now < kWheelSpan`, which covers warp gaps, DRAM/PCIe latencies
-// and the fault-batch window — the overwhelming majority) are appended to a
-// per-cycle bucket in O(1); only far events (the 45 us far-fault service
-// delay, coarse timeline samples) reach the heap. Because the global
-// sequence counter is monotone, a bucket is sorted by construction, so pop
-// is "merge heap top with the front of the earliest non-empty bucket" —
-// strict (when, seq) order is preserved exactly and replay stays
-// bit-identical with the heap-only implementation.
+// wheel plus two far-event stores, a 4-ary heap and a FIFO lane. Events
+// landing within the wheel span (`when - now < kWheelSpan`, which covers
+// warp gaps, DRAM/PCIe latencies and the fault-batch window — the
+// overwhelming majority) are appended to a per-cycle bucket in O(1). Far
+// events (block arrivals behind the serial PCIe link, the 45 us far-fault
+// service delay, coarse timeline samples) go to the lane when `when` is at
+// or after the lane's back — arrivals are scheduled in non-decreasing time,
+// so they append in O(1) — and to the heap otherwise. Because the global
+// sequence counter is monotone, a bucket and the lane are each sorted by
+// construction, so pop is "take the least (when, seq) of the heap top, the
+// lane front and the front of the earliest non-empty bucket" — strict
+// (when, seq) order is preserved exactly and replay stays bit-identical
+// with a single priority queue. The earliest far `when` is cached, so the
+// common pop (the wheel front is strictly earlier than anything far) is
+// one compare.
 //
-// Two event flavours share the wheel and the heap:
+// Two event flavours share the wheel and the far stores:
 //   * actions — EventAction (small-buffer type-erased callables) in a slot
 //     pool recycled through an intrusive free list;
 //   * warp steps — a plain WarpId routed to a registered warp stepper
@@ -159,8 +165,8 @@ class EventQueue {
   using WarpStepFn = void (*)(void* ctx, WarpId w);
 
   /// Cycles covered by the near-future wheel; events further out go to the
-  /// heap fallback. Public so the equivalence property test can generate
-  /// delays that straddle the boundary.
+  /// far stores (lane or heap). Public so the equivalence property test can
+  /// generate delays that straddle the boundary.
   static constexpr Cycle kWheelSpan = 4096;
 
   /// Schedule `act` to run at absolute cycle `when` (must be >= now(); the
@@ -216,8 +222,12 @@ class EventQueue {
   std::uint64_t run_bounded(std::uint64_t max_events);
 
   [[nodiscard]] Cycle now() const noexcept { return now_; }
-  [[nodiscard]] bool empty() const noexcept { return wheel_count_ == 0 && heap_.empty(); }
-  [[nodiscard]] std::size_t pending() const noexcept { return heap_.size() + wheel_count_; }
+  [[nodiscard]] bool empty() const noexcept {
+    return wheel_count_ == 0 && heap_.empty() && lane_.empty();
+  }
+  [[nodiscard]] std::size_t pending() const noexcept {
+    return wheel_count_ + heap_.size() + (lane_.size() - lane_head_);
+  }
   [[nodiscard]] std::uint64_t executed() const noexcept { return executed_; }
 
  private:
@@ -226,6 +236,8 @@ class EventQueue {
   /// step for steppers_[k - 1] (payload = WarpId).
   static constexpr std::uint32_t kKindAction = 0;
 
+  /// Popped lane prefix length below which the lane is never compacted.
+  static constexpr std::size_t kLaneCompactMin = 256;
   static constexpr std::size_t kWheelMask = static_cast<std::size_t>(kWheelSpan) - 1;
   static constexpr std::size_t kOccWords = static_cast<std::size_t>(kWheelSpan) / 64;
   static_assert((kWheelSpan & (kWheelSpan - 1)) == 0, "wheel span must be a power of two");
@@ -245,8 +257,9 @@ class EventQueue {
     std::uint32_t kind;
   };
 
-  /// Heap node: ordering keys inline so comparisons never touch the pool.
-  struct HeapEntry {
+  /// Far-event node (heap and lane): ordering keys inline so comparisons
+  /// never touch the pool.
+  struct FarEntry {
     Cycle when;
     std::uint64_t seq;
     std::uint32_t payload;
@@ -260,7 +273,7 @@ class EventQueue {
 
   /// Strict (when, seq) order; seq is unique, so ties never reach the heap's
   /// arbitrary layout — pop order is fully deterministic.
-  [[nodiscard]] static bool before(const HeapEntry& a, const HeapEntry& b) noexcept {
+  [[nodiscard]] static bool before(const FarEntry& a, const FarEntry& b) noexcept {
     return a.when != b.when ? a.when < b.when : a.seq < b.seq;
   }
   void sift_up(std::size_t i) noexcept;
@@ -276,16 +289,39 @@ class EventQueue {
       ++wheel_count_;
       if (when < wheel_next_) wheel_next_ = when;
     } else {
-      heap_.push_back(HeapEntry{when, seq, payload, kind});
-      sift_up(heap_.size() - 1);
+      // The lane stays sorted because `when` never drops below its back and
+      // seq only grows; anything earlier than the back falls back to the heap.
+      if (lane_.empty() || when >= lane_.back().when) {
+        lane_.push_back(FarEntry{when, seq, payload, kind});
+      } else {
+        heap_.push_back(FarEntry{when, seq, payload, kind});
+        sift_up(heap_.size() - 1);
+      }
+      if (when < far_next_) far_next_ = when;
     }
   }
   void fire(std::uint32_t payload, std::uint32_t kind);
+  /// True when the lane front precedes the heap top in (when, seq) order
+  /// (false when the lane is empty).
+  [[nodiscard]] bool lane_first() const noexcept {
+    return !lane_.empty() && (heap_.empty() || before(lane_[lane_head_], heap_.front()));
+  }
+  /// Pop the least (when, seq) of the heap top and the lane front (at least
+  /// one is non-empty) and refresh far_next_.
+  [[nodiscard]] FarEntry pop_far() noexcept;
   /// Smallest occupied wheel cycle >= `from`, assuming every wheel event lies
   /// in [from, from + span) — the caller guarantees wheel_count_ > 0.
   [[nodiscard]] Cycle rescan_wheel_from(Cycle from) const noexcept;
 
-  std::vector<HeapEntry> heap_;  ///< 4-ary min-heap fallback for far events
+  std::vector<FarEntry> heap_;  ///< 4-ary min-heap for out-of-order far events
+  /// FIFO of far events in (when, seq) order; [lane_head_, size) is live.
+  /// Cleared when it drains (so empty() means no live entry) and compacted
+  /// once the popped prefix outgrows the live part, so its footprint tracks
+  /// the live count, not the total ever pushed.
+  std::vector<FarEntry> lane_;
+  std::size_t lane_head_ = 0;
+  /// Earliest `when` over heap_ and the lane (kNeverCycle when both empty).
+  Cycle far_next_ = kNeverCycle;
   std::vector<Slot> slots_;      ///< grows to the high-water mark, then stable
   std::uint32_t free_head_ = kNoSlot;
 

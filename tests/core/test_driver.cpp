@@ -21,7 +21,9 @@ class DriverTest : public ::testing::Test {
     stats_ = SimStats{};
     driver_ = std::make_unique<UvmDriver>(cfg_, space_, capacity, queue_, stats_);
     woken_.clear();
-    driver_->set_warp_waker([this](WarpId w, Cycle c) { woken_[w] = c; });
+    driver_->set_warp_waker(
+        [](void* self, WarpId w, Cycle c) { static_cast<DriverTest*>(self)->woken_[w] = c; },
+        this);
   }
 
   /// Issue an access and drain the event queue.

@@ -121,6 +121,53 @@ TEST_F(GpuModelTest, TlbHitsOnRepeatedPageAccess) {
   EXPECT_EQ(stats_.tlb_hits, 15u);
 }
 
+/// One warp touches page 0, then one page in each block of the next chunk,
+/// then page 0 again. The chunk-1 pages avoid page 0's TLB slot (and L2
+/// set), so the second page-0 lookup hits unless block 0 was evicted in
+/// between.
+struct RevisitResult {
+  std::uint64_t tlb_hits;
+  std::uint64_t l2_hits;
+  std::uint32_t block0_round_trips;
+};
+RevisitResult run_revisit(std::uint64_t capacity_bytes, bool l2) {
+  SimConfig cfg;
+  cfg.gpu.num_sms = 1;
+  cfg.gpu.warps_per_sm = 1;
+  cfg.gpu.l2.enabled = l2;
+  AddressSpace space;
+  space.allocate("a", 2 * kLargePageSize);
+  EventQueue queue;
+  SimStats stats;
+  UvmDriver driver(cfg, space, capacity_bytes, queue, stats);
+  GpuModel gpu(cfg, queue, driver, stats);
+  std::vector<Access> accesses{Access{0, AccessType::kRead, 1, 0}};
+  for (BlockNum b = kBlocksPerLargePage; b < 2 * kBlocksPerLargePage; ++b) {
+    accesses.push_back(Access{addr_of_block(b) + kPageSize, AccessType::kRead, 1, 0});
+  }
+  accesses.push_back(Access{0, AccessType::kRead, 1, 0});
+  ListKernel k(accesses, accesses.size());
+  gpu.launch(k, [] {});
+  queue.run();
+  return {stats.tlb_hits, stats.l2_hits, driver.blocks().round_trips(0)};
+}
+
+TEST(GpuModelEviction, EvictedBlockMissesInTlbOnReaccess) {
+  for (const bool l2 : {false, true}) {
+    // Room for both chunks: block 0 stays resident and its entries hit.
+    const RevisitResult kept = run_revisit(8 * kLargePageSize, l2);
+    EXPECT_EQ(kept.block0_round_trips, 0u);
+    EXPECT_EQ(kept.tlb_hits, 1u);
+    EXPECT_EQ(kept.l2_hits, l2 ? 1u : 0u);
+    // Room for one chunk: chunk 1 evicts block 0, so the TLB entry is stale
+    // and the L2 line was invalidated through the driver's eviction hook.
+    const RevisitResult evicted = run_revisit(kLargePageSize, l2);
+    ASSERT_GE(evicted.block0_round_trips, 1u);
+    EXPECT_EQ(evicted.tlb_hits, 0u);
+    EXPECT_EQ(evicted.l2_hits, 0u);
+  }
+}
+
 TEST_F(GpuModelTest, GapDelaysNextIssue) {
   // Two accesses with a large gap; the kernel cannot finish before the gap.
   std::vector<Access> accesses{

@@ -149,5 +149,15 @@ TEST(MultiGpu, ZeroGpusRejected) {
                std::invalid_argument);
 }
 
+TEST(MultiGpu, GpuCountBeyondPeerDirectoryRejected) {
+  // The constructor validates only; no GPU model is built for either count.
+  MultiGpuConfig over;
+  over.num_gpus = PeerDirectory::kMaxGpus + 1;
+  EXPECT_THROW(MultiGpuSimulator(small_cfg(), over), std::invalid_argument);
+  MultiGpuConfig at_limit;
+  at_limit.num_gpus = PeerDirectory::kMaxGpus;
+  EXPECT_NO_THROW(MultiGpuSimulator(small_cfg(), at_limit));
+}
+
 }  // namespace
 }  // namespace uvmsim

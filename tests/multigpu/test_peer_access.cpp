@@ -35,6 +35,19 @@ TEST(PeerDirectory, MultipleHoldersClearIndependently) {
   EXPECT_FALSE(d.held_by_peer(5, 1));
 }
 
+TEST(PeerDirectory, HoldersBeyondEightGpusAreVisible) {
+  // Regression: an 8-bit holder mask silently dropped residency on GPU >= 8.
+  PeerDirectory d(16, fabric(), 1.0);
+  d.set_resident(4, 8);
+  EXPECT_TRUE(d.held_by_peer(4, 0));
+  EXPECT_FALSE(d.held_by_peer(4, 8));
+  const std::uint32_t last = PeerDirectory::kMaxGpus - 1;
+  d.set_resident(6, last);
+  EXPECT_TRUE(d.held_by_peer(6, 3));
+  d.clear_resident(6, last);
+  EXPECT_FALSE(d.held_by_peer(6, 3));
+}
+
 TEST(PeerDirectory, TransactionsConsumeFabricBandwidth) {
   PeerFabricConfig cfg = fabric();
   cfg.bandwidth_gbps = 1.0;  // 1 byte/cycle at 1 GHz

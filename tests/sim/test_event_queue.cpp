@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cstring>
 #include <functional>
@@ -194,15 +195,20 @@ TEST(EventQueue, ExecutedCountsAllEvents) {
   EXPECT_EQ(q.executed(), 5u);
 }
 
-// Randomized wheel ≡ heap equivalence. The queue routes events with
-// `when - now < kWheelSpan` through the timing wheel and everything farther
-// through the fallback heap; this property test drives both paths (plus the
+// Randomized wheel/heap/lane equivalence. The queue routes events with
+// `when - now < kWheelSpan` through the timing wheel; farther events go to
+// the FIFO lane when they are at or after its back and to the heap
+// otherwise. This property test drives all three paths (plus the
 // warp-stepper ring) against a single reference model — a plain min-heap of
 // (when, seq) with seq mirroring the schedule-call order — and requires the
 // fired sequence to match the model's pop order exactly. Delays interleave
-// near (in-wheel), boundary (kWheelSpan +/- 1), far (heap, later walking
-// into the wheel's window as the clock advances) and past-clamped targets,
-// scheduled both up front and dynamically from inside firing events.
+// near (in-wheel), boundary (kWheelSpan +/- 1), random far (heap or lane,
+// later walking into the wheel's window as the clock advances), monotone far
+// (the lane's arrival pattern, with repeated cycles), same-cycle ties with an
+// earlier far target (which land in the wheel, the heap or the lane
+// depending on the clock) and past-clamped targets, scheduled both up front
+// and dynamically from inside firing events. pending() and empty() are
+// checked against the model's outstanding count at every firing.
 struct WheelPropertyHarness {
   using Key = std::pair<Cycle, std::uint64_t>;  // (when, schedule order)
 
@@ -213,40 +219,67 @@ struct WheelPropertyHarness {
   std::uint32_t stepper = 0;
   std::vector<Key> fired;
   std::priority_queue<Key, std::vector<Key>, std::greater<>> model;
+  std::uint64_t outstanding = 0;  ///< scheduled and not yet fired
+  std::uint64_t count_mismatches = 0;
+  Cycle far_back = 0;             ///< last monotone far target
+  std::vector<Cycle> far_targets;  ///< recent far targets, for same-cycle ties
 
   static void step_thunk(void* self, WarpId w) {
     static_cast<WheelPropertyHarness*>(self)->on_fire(w);
   }
 
+  void check_counts() {
+    if (q.pending() != outstanding || q.empty() != (outstanding == 0)) ++count_mismatches;
+  }
+
   void on_fire(std::uint64_t seq) {
     fired.emplace_back(q.now(), seq);
+    --outstanding;
+    check_counts();
     const std::uint64_t spawn = rng() % 3;  // 0..2 replacements per firing
     for (std::uint64_t i = 0; i < spawn && budget > 0; ++i) schedule_random();
+    check_counts();
   }
 
   void schedule_random() {
     --budget;
     Cycle when;
-    switch (rng() % 8) {
+    switch (rng() % 10) {
       case 0: {  // "past": a target before now, clamped to now by the caller
         // (the GPU model's finish_access pattern: `next < now ? now : next`)
         const Cycle target = q.now() - std::min<Cycle>(q.now(), rng() % 50);
         when = target < q.now() ? q.now() : target;
         break;
       }
-      case 1:  // wheel/heap boundary
+      case 1:  // wheel/far boundary
         when = q.now() + EventQueue::kWheelSpan - 1 + rng() % 3;
         break;
       case 2:
-      case 3:  // far: heap entries that later enter the wheel's window
+      case 3:  // random far: heap or lane entries that later enter the wheel's window
         when = q.now() + rng() % (3 * EventQueue::kWheelSpan);
+        far_targets.push_back(when);
         break;
+      case 4:  // monotone far: the block-arrival pattern (repeats allowed)
+        far_back = std::max(far_back, q.now() + EventQueue::kWheelSpan) + rng() % 3;
+        when = far_back;
+        far_targets.push_back(when);
+        break;
+      case 5: {  // same cycle as an earlier far target still in the future
+        when = q.now() + rng() % 100;
+        if (!far_targets.empty()) {
+          const Cycle t = far_targets[rng() % far_targets.size()];
+          if (t >= q.now()) when = t;
+        }
+        break;
+      }
       default:  // near: dense in-wheel traffic
         when = q.now() + rng() % 100;
         break;
     }
+    if (far_targets.size() > 32) far_targets.erase(far_targets.begin());
     const std::uint64_t seq = next_seq++;
     model.emplace(when, seq);
+    ++outstanding;
     if (rng() % 2 == 0) {
       q.schedule_warp_at(when, stepper, static_cast<WarpId>(seq));
     } else {
@@ -260,20 +293,76 @@ TEST(EventQueueProperty, TimingWheelMatchesHeapPopOrder) {
   h.stepper = h.q.register_warp_stepper(&WheelPropertyHarness::step_thunk, &h);
   h.budget = 20000;
   for (int i = 0; i < 64 && h.budget > 0; ++i) h.schedule_random();
+  h.check_counts();
   h.q.run();
 
   ASSERT_EQ(h.fired.size(), h.next_seq);
+  std::uint64_t same_cycle_pops = 0;
   for (std::size_t i = 0; i < h.fired.size(); ++i) {
     ASSERT_FALSE(h.model.empty());
     EXPECT_EQ(h.fired[i], h.model.top()) << "divergence at pop " << i;
     if (i > 0) {
       EXPECT_GE(h.fired[i].first, h.fired[i - 1].first)
           << "clock ran backwards at pop " << i;
+      if (h.fired[i].first == h.fired[i - 1].first) ++same_cycle_pops;
     }
     h.model.pop();
   }
   EXPECT_TRUE(h.model.empty());
   EXPECT_EQ(h.q.executed(), h.next_seq);
+  EXPECT_EQ(h.count_mismatches, 0u);
+  EXPECT_TRUE(h.q.empty());
+  EXPECT_GT(same_cycle_pops, 0u);
+}
+
+TEST(EventQueue, FarEventsMergeAcrossLaneHeapAndWheel) {
+  // Hand-built ties: lane entries (monotone far), a heap entry (far but
+  // earlier than the lane's back) and wheel entries all at cycle 10000,
+  // interleaved in schedule order; they must fire strictly by seq.
+  EventQueue q;
+  std::vector<int> order;
+  const auto rec = [&](int id) { return [&order, id] { order.push_back(id); }; };
+  q.schedule_at(10000, rec(0));  // lane (empty lane takes any far event)
+  q.schedule_at(12000, rec(1));  // lane
+  q.schedule_at(10000, rec(2));  // heap: below the lane's back
+  q.schedule_at(12000, rec(3));  // lane: equal to the back
+  q.schedule_at(9000, rec(4));   // heap
+  EXPECT_EQ(q.pending(), 5u);
+  // Advance the clock so cycle 10000 falls inside the wheel span.
+  q.schedule_at(8000, [&] {
+    q.schedule_at(10000, rec(5));  // wheel
+    q.schedule_at(12000, rec(6));  // wheel
+  });
+  q.run_bounded(2);  // the 8000 event and rec(4)
+  EXPECT_EQ(q.now(), 9000u);
+  EXPECT_EQ(q.pending(), 6u);
+  EXPECT_FALSE(q.empty());
+  q.run();
+  EXPECT_EQ(order, (std::vector<int>{4, 0, 2, 5, 1, 3, 6}));
+  EXPECT_TRUE(q.empty());
+  EXPECT_EQ(q.pending(), 0u);
+}
+
+TEST(EventQueue, LongMonotoneFarStreamKeepsOrder) {
+  // The arrival pattern that never lets the lane drain: each firing
+  // schedules the next two far events further out, so the lane's popped
+  // prefix is compacted while live entries remain. Order and counts hold.
+  EventQueue q;
+  std::vector<Cycle> fired;
+  Cycle next = 5000;
+  int remaining = 5000;
+  std::function<void()> arrival = [&] {
+    fired.push_back(q.now());
+    for (int i = 0; i < 2 && remaining > 0; ++i, --remaining) {
+      next = std::max(next + 7, q.now() + EventQueue::kWheelSpan);
+      q.schedule_at(next, arrival);
+    }
+  };
+  q.schedule_at(next, arrival);
+  q.run();
+  EXPECT_EQ(fired.size(), 5001u);
+  EXPECT_TRUE(std::is_sorted(fired.begin(), fired.end()));
+  EXPECT_TRUE(q.empty());
 }
 
 TEST(EventQueue, ClockDoesNotAdvancePastLastEvent) {
