@@ -24,7 +24,7 @@ int main() {
       SimConfig cfg = make_cfg(policy);
       cfg.mem.oversubscription = 1.25;
       auto wl = make_workload(name, params);
-      MultiGpuConfig mg{gpus, /*split_capacity=*/true};
+      MultiGpuConfig mg{gpus, /*split_capacity=*/true, {}};
       mg.peer.enabled = peer;
       const MultiGpuResult r = MultiGpuSimulator(cfg, mg).run(*wl);
       return static_cast<double>(r.makespan);

@@ -26,7 +26,7 @@ MultiGpuResult run_multi(const std::string& workload, PolicyKind policy,
       policy == PolicyKind::kFirstTouch ? EvictionKind::kLru : EvictionKind::kLfu;
   cfg.mem.oversubscription = oversub;
 
-  MultiGpuSimulator sim(cfg, MultiGpuConfig{gpus, /*split_capacity=*/true});
+  MultiGpuSimulator sim(cfg, MultiGpuConfig{gpus, /*split_capacity=*/true, {}});
   return sim.run(*wl);
 }
 

@@ -1,10 +1,9 @@
 // Rule `determinism`: every simulation result must be fully determined by
 // its RunRequest (sim/runner.hpp), so process-global entropy, wall-clock
 // reads and hash-order-dependent iteration are banned from src/ and tools/.
-// This replaces the tools/lint_determinism grep with a token-level check:
-// comments and string literals can no longer trip it, and unordered-
-// container iteration is matched against the names actually declared as
-// std::unordered_* in the file rather than a two-line regex window.
+// The check is token-level: comments and string literals cannot trip it,
+// and unordered-container iteration is matched against the names actually
+// declared as std::unordered_* in the file, not a regex window.
 //
 // Telemetry whitelist: the batch runner's wall-clock per-run telemetry
 // (wall_ms in BatchEntry) is the one sanctioned clock read — it reports how

@@ -51,7 +51,10 @@ void InvariantAuditor::run_pass(const AuditScope& scope, SimStats& stats) {
 AuditReport InvariantAuditor::audit_now(const AuditScope& s) {
   AuditReport r;
   if (s.table != nullptr && s.device != nullptr) check_residency(s, r);
-  if (s.table != nullptr) check_granularity(s, r);
+  if (s.table != nullptr) {
+    check_chunk_masks(s, r);
+    check_granularity(s, r);
+  }
   if (s.table != nullptr && s.counters != nullptr && s.eviction != nullptr) {
     check_eviction_membership(s, r);
     if (s.eviction->index().attached_to(s.table, s.counters)) {
@@ -105,13 +108,6 @@ void InvariantAuditor::check_residency(const AuditScope& s, AuditReport& r) cons
   }
 
   for (ChunkNum c = 0; c < table.num_chunks(); ++c) {
-    const ChunkResidency& cr = table.chunk(c);
-    expect(r, cr.resident_blocks == per_chunk[c], [&] {
-      std::ostringstream os;
-      os << "residency: chunk " << c << " aggregate resident_blocks="
-         << cr.resident_blocks << " but block scan counts " << per_chunk[c];
-      return text(os);
-    });
     const std::uint32_t mapped = table.space().chunk_num_blocks(c);
     expect(r, per_chunk[c] <= mapped, [&] {
       std::ostringstream os;
@@ -155,6 +151,42 @@ void InvariantAuditor::check_residency(const AuditScope& s, AuditReport& r) cons
   });
 }
 
+// Chunk occupancy masks (docs/PERF.md): each chunk's `device` and
+// `non_host` bitmaps equal a per-block residence scan of the chunk, and no
+// bit lies at or above the chunk's mapped block count. Every chunk scan in
+// the simulator reads the masks, so a drift here would silently change
+// prefetch, eviction and coalescing decisions.
+void InvariantAuditor::check_chunk_masks(const AuditScope& s, AuditReport& r) const {
+  const BlockTable& table = *s.table;
+  for (ChunkNum c = 0; c < table.num_chunks(); ++c) {
+    const BlockNum first = first_block_of_chunk(c);
+    const BlockNum end = std::min<BlockNum>(first + kBlocksPerLargePage, table.num_blocks());
+    ChunkMasks scan;
+    for (BlockNum b = first; b < end; ++b) {
+      const std::uint32_t bit = 1u << (b - first);
+      const Residence res = table.residence(b);
+      if (res == Residence::kDevice) scan.device |= bit;
+      if (res != Residence::kHost) scan.non_host |= bit;
+    }
+    const ChunkMasks& m = table.masks(c);
+    expect(r, m.device == scan.device && m.non_host == scan.non_host, [&] {
+      std::ostringstream os;
+      os << "residency: chunk " << c << std::hex << " masks device=0x" << m.device
+         << " non_host=0x" << m.non_host << " but block scan gives device=0x"
+         << scan.device << " non_host=0x" << scan.non_host;
+      return text(os);
+    });
+    const std::uint32_t unmapped = ~low_bits(table.chunk_num_blocks(c));
+    expect(r, (m.non_host & unmapped) == 0, [&] {
+      std::ostringstream os;
+      os << "residency: chunk " << c << " non_host mask 0x" << std::hex << m.non_host
+         << " has bits beyond its " << std::dec << table.chunk_num_blocks(c)
+         << " mapped blocks";
+      return text(os);
+    });
+  }
+}
+
 // Mapping granularity (docs/GRANULARITY.md): a chunk coalesced into a single
 // 2 MB mapping must be fully resident and never written (the read-mostly
 // coalesce gate), the O(1) coalesced-chunk counter must match a scan, and —
@@ -171,7 +203,7 @@ void InvariantAuditor::check_granularity(const AuditScope& s, AuditReport& r) co
     expect(r, table.chunk_fully_resident(c), [&] {
       std::ostringstream os;
       os << "granularity: chunk " << c << " is coalesced but only "
-         << table.chunk(c).resident_blocks << '/' << table.space().chunk_num_blocks(c)
+         << table.resident_blocks(c) << '/' << table.space().chunk_num_blocks(c)
          << " mapped blocks are resident";
       return text(os);
     });
@@ -256,11 +288,11 @@ void InvariantAuditor::check_eviction_membership(const AuditScope& s,
   }
   if (s.eviction->granularity() == kLargePageSize &&
       s.eviction->kind() != EvictionKind::kTree) {
-    expect(r, victims.size() == table.chunk(victim_chunk).resident_blocks, [&] {
+    expect(r, victims.size() == table.resident_blocks(victim_chunk), [&] {
       std::ostringstream os;
       os << "eviction: 2 MB victim set has " << victims.size()
          << " blocks but chunk " << victim_chunk << " holds "
-         << table.chunk(victim_chunk).resident_blocks;
+         << table.resident_blocks(victim_chunk);
       return text(os);
     });
   }
@@ -281,13 +313,13 @@ void InvariantAuditor::check_eviction_index(const AuditScope& s, AuditReport& r)
 
   std::uint64_t listed = 0;
   for (ChunkNum c = 0; c < table.num_chunks(); ++c) {
-    const bool resident = table.chunk(c).resident_blocks > 0;
+    const bool resident = table.masks(c).device != 0;
     if (idx.in_list(c)) ++listed;
     expect(r, idx.in_list(c) == resident, [&] {
       std::ostringstream os;
       os << "eviction-index: chunk " << c << " is "
          << (idx.in_list(c) ? "listed" : "unlisted") << " but has "
-         << table.chunk(c).resident_blocks << " resident blocks";
+         << table.resident_blocks(c) << " resident blocks";
       return text(os);
     });
   }

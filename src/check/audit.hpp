@@ -4,8 +4,10 @@
 // memory, access counters, eviction machinery, transfer engine and event
 // queue:
 //
-//   * residency conservation — per-chunk resident counts match a per-block
-//     scan; device used == resident + in-flight; resident + free == capacity
+//   * residency conservation — device used == resident + in-flight;
+//     resident + free == capacity; the full-residency gate matches a scan
+//   * chunk occupancy masks — each chunk's `device` and `non_host` bitmaps
+//     equal a per-block residence scan and stay within the mapped blocks
 //   * mapping granularity — a coalesced 2 MB chunk is fully resident and was
 //     never written; the O(1) coalesced-chunk counter matches a scan; the
 //     coalesce/splinter counters obey the conservation law
@@ -103,6 +105,7 @@ class InvariantAuditor {
   void run_pass(const AuditScope& scope, SimStats& stats);
 
   void check_residency(const AuditScope& s, AuditReport& r) const;
+  void check_chunk_masks(const AuditScope& s, AuditReport& r) const;
   void check_granularity(const AuditScope& s, AuditReport& r) const;
   void check_eviction_membership(const AuditScope& s, AuditReport& r) const;
   void check_eviction_index(const AuditScope& s, AuditReport& r) const;

@@ -349,7 +349,7 @@ bool UvmDriver::evict_for(ChunkNum faulting_chunk, Cycle now, Cycle& writeback_r
   if (coalescing_) {
     const ChunkNum vc = chunk_of_block(victims.front());
     if (table_.chunk_coalesced(vc)) {
-      const bool whole = victims.size() == table_.chunk(vc).resident_blocks;
+      const bool whole = victims.size() == table_.resident_blocks(vc);
       table_.splinter(vc);
       if (whole) {
         ++stats_.chunk_coalesced_evictions;

@@ -14,6 +14,7 @@ BlockTable::BlockTable(const AddressSpace& space) : space_(space) {
   // expression manufactured a phantom chunk with no mapped blocks.
   chunks_.resize(nblocks == 0 ? 0 : chunk_of_block(nblocks - 1) + 1);
   chunk_nblocks_.resize(chunks_.size());
+  masks_.resize(chunks_.size());
   coalesced_.assign(chunks_.size(), 0);
   for (ChunkNum c = 0; c < chunks_.size(); ++c) {
     chunk_nblocks_[c] = space.chunk_num_blocks(c);
@@ -26,6 +27,7 @@ void BlockTable::mark_in_flight(BlockNum b) {
                 << " state=" << to_cstr(residence(b)) << " round_trips=" << round_trips_[b]);
   state_[b] = static_cast<std::uint8_t>(
       (state_[b] & ~kResidenceMask) | static_cast<std::uint8_t>(Residence::kInFlight));
+  masks_[chunk_of_block(b)].non_host |= chunk_bit(b);
 }
 
 void BlockTable::mark_resident(BlockNum b, Cycle now) {
@@ -42,9 +44,9 @@ void BlockTable::mark_resident(BlockNum b, Cycle now) {
     st &= static_cast<std::uint8_t>(~kDirtyBit);
   st &= static_cast<std::uint8_t>(~kDirtyOnArrivalBit);
   state_[b] = st;
-  ChunkResidency& c = chunks_[chunk_of_block(b)];
-  if (c.resident_blocks == 0) c.migrated_at = now;
-  ++c.resident_blocks;
+  const ChunkNum c = chunk_of_block(b);
+  if (masks_[c].device == 0) chunks_[c].migrated_at = now;
+  masks_[c].device |= chunk_bit(b);
   if (index_ != nullptr) index_->on_resident(b);
 }
 
@@ -60,11 +62,12 @@ bool BlockTable::mark_evicted(BlockNum b) {
   state_[b] = static_cast<std::uint8_t>(
       (st & ~(kResidenceMask | kDirtyBit)) | static_cast<std::uint8_t>(Residence::kHost));
   ++round_trips_[b];
-  ChunkResidency& c = chunks_[chunk_of_block(b)];
-  UVM_CHECK(c.resident_blocks > 0,
+  ChunkMasks& m = masks_[chunk_of_block(b)];
+  UVM_CHECK((m.device & chunk_bit(b)) != 0,
             "BlockTable: chunk " << chunk_of_block(b)
-                << " resident count underflow evicting block " << b);
-  --c.resident_blocks;
+                << " device mask misses evicted block " << b);
+  m.device &= ~chunk_bit(b);
+  m.non_host &= ~chunk_bit(b);
   if (index_ != nullptr) index_->on_evicted(b);
   return was_dirty;
 }

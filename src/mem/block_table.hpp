@@ -2,6 +2,13 @@
 // aggregates. This is the driver-side page table abstraction: the unit of
 // migration is the basic block; the unit of eviction is the large page.
 //
+// Chunk occupancy (docs/PERF.md "Chunk occupancy masks"): each chunk keeps
+// two 32-bit leaf bitmaps, `device` (resident blocks) and `non_host`
+// (resident or in-flight blocks), updated only by the three residence
+// transitions. Every chunk scan — prefetch expansion, victim emission, the
+// tree evictor, LFU aggregates, the full-residency gate — reads them instead
+// of walking the chunk's blocks.
+//
 // Hot-path layout (see docs/PERF.md): block state is stored SoA — residence
 // and the four status flags packed into one byte per block, with last-access
 // cycles and round-trip counts in parallel arrays — so the access/eviction
@@ -11,6 +18,7 @@
 // uses the per-field accessors.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <vector>
 
@@ -33,14 +41,34 @@ struct BlockState {
 };
 
 struct ChunkResidency {
-  std::uint32_t resident_blocks = 0;
   Cycle last_access = 0;       ///< LRU key: most recent access to any block
   Cycle migrated_at = 0;       ///< when the chunk first became (partly) resident
   bool written_ever = false;   ///< any block in chunk ever written
 };
 
+/// Occupancy bitmaps of one chunk: bit i stands for block
+/// `first_block_of_chunk(c) + i`. Bits at or above the chunk's mapped block
+/// count are never set.
+struct ChunkMasks {
+  std::uint32_t device = 0;    ///< device-resident blocks
+  std::uint32_t non_host = 0;  ///< device-resident or in-flight blocks
+};
+
+/// Bitmap of the low `n` leaves (n <= 32).
+[[nodiscard]] constexpr std::uint32_t low_bits(std::uint32_t n) noexcept {
+  return n >= 32 ? ~0u : (1u << n) - 1u;
+}
+
+/// Call `fn(i)` for every set bit i of `mask`, in ascending order.
+template <typename Fn>
+void for_each_bit(std::uint32_t mask, Fn&& fn) {
+  for (; mask != 0; mask &= mask - 1) fn(static_cast<std::uint32_t>(std::countr_zero(mask)));
+}
+
 class BlockTable {
  public:
+  static_assert(kBlocksPerLargePage == 32, "chunk masks hold one bit per block of a 2 MB chunk");
+
   explicit BlockTable(const AddressSpace& space);
 
   /// Snapshot of block `b`. Returns by value (the underlying storage is SoA);
@@ -74,6 +102,12 @@ class BlockTable {
 
   [[nodiscard]] const ChunkResidency& chunk(ChunkNum c) const { return chunks_[c]; }
   [[nodiscard]] ChunkResidency& chunk(ChunkNum c) { return chunks_[c]; }
+
+  [[nodiscard]] const ChunkMasks& masks(ChunkNum c) const noexcept { return masks_[c]; }
+  /// Device-resident blocks of chunk `c`.
+  [[nodiscard]] std::uint32_t resident_blocks(ChunkNum c) const noexcept {
+    return static_cast<std::uint32_t>(std::popcount(masks_[c].device));
+  }
 
   [[nodiscard]] BlockNum num_blocks() const noexcept { return last_access_.size(); }
   [[nodiscard]] ChunkNum num_chunks() const noexcept { return chunks_.size(); }
@@ -132,21 +166,14 @@ class BlockTable {
   template <typename Fn>
   void for_each_resident_block(ChunkNum c, Fn&& fn) const {
     const BlockNum first = first_block_of_chunk(c);
-    const BlockNum last = first + chunk_nblocks_[c];
-    std::uint32_t remaining = chunks_[c].resident_blocks;
-    for (BlockNum b = first; remaining != 0 && b < last; ++b) {
-      if ((state_[b] & kResidenceMask) == static_cast<std::uint8_t>(Residence::kDevice)) {
-        --remaining;
-        fn(b);
-      }
-    }
+    for_each_bit(masks_[c].device, [&](std::uint32_t i) { fn(first + i); });
   }
 
   /// True when every mapped block of chunk `c` is resident. Zero-mapped
   /// chunks are never "fully resident" — there is nothing to map.
   [[nodiscard]] bool chunk_fully_resident(ChunkNum c) const noexcept {
     const std::uint32_t n = chunk_nblocks_[c];
-    return n != 0 && chunks_[c].resident_blocks == n;
+    return n != 0 && masks_[c].device == low_bits(n);
   }
 
   /// Mapping granularity of chunk `c` (docs/GRANULARITY.md). Split is the
@@ -181,8 +208,8 @@ class BlockTable {
   void set_eviction_index(EvictionIndex* index) noexcept { index_ = index; }
 
   /// Fault injection for the auditor's negative tests: overwrite raw block
-  /// state, bypassing transition checks, chunk aggregates and the eviction
-  /// index. Never called by the simulator proper.
+  /// state or a chunk's masks, bypassing transition checks, the other chunk
+  /// aggregates and the eviction index. Never called by the simulator proper.
   void testonly_corrupt_residence(BlockNum b, Residence r) noexcept {
     state_[b] = static_cast<std::uint8_t>(
         (state_[b] & ~kResidenceMask) | static_cast<std::uint8_t>(r));
@@ -193,6 +220,7 @@ class BlockTable {
     else
       state_[b] &= static_cast<std::uint8_t>(~kDirtyBit);
   }
+  void testonly_corrupt_masks(ChunkNum c, ChunkMasks m) noexcept { masks_[c] = m; }
 
  private:
   // Packed per-block state byte: residence enum in the low bits, flags above.
@@ -206,12 +234,18 @@ class BlockTable {
                     static_cast<std::uint8_t>(Residence::kDevice) <= kResidenceMask,
                 "Residence must fit the packed state byte");
 
+  /// Bit of block `b` in its chunk's masks.
+  static std::uint32_t chunk_bit(BlockNum b) noexcept {
+    return 1u << (b & (kBlocksPerLargePage - 1));
+  }
+
   const AddressSpace& space_;
   std::vector<std::uint8_t> state_;        ///< packed residence + flags
   std::vector<Cycle> last_access_;         ///< recency, parallel to state_
   std::vector<std::uint32_t> round_trips_; ///< eviction count, parallel to state_
   std::vector<std::uint32_t> chunk_nblocks_;  ///< cached space_.chunk_num_blocks
   std::vector<ChunkResidency> chunks_;
+  std::vector<ChunkMasks> masks_;
   std::vector<std::uint8_t> coalesced_;  ///< 1 = chunk holds a 2 MB mapping
   std::uint64_t num_coalesced_ = 0;      ///< invariant: popcount of coalesced_
   EvictionIndex* index_ = nullptr;

@@ -24,14 +24,10 @@ ChunkNum LruEviction::pick(const std::vector<ChunkNum>& candidates, const BlockT
 
 std::uint64_t LfuEviction::chunk_frequency(ChunkNum c, const BlockTable& table,
                                            const AccessCounterTable& counters) {
-  const BlockNum first = first_block_of_chunk(c);
-  const std::uint32_t n = table.chunk_num_blocks(c);
   std::uint64_t total = 0;
-  for (BlockNum b = first; b < first + n; ++b) {
-    if (table.residence(b) == Residence::kDevice) {
-      total += counters.range_count(addr_of_block(b), kBasicBlockSize);
-    }
-  }
+  table.for_each_resident_block(c, [&](BlockNum b) {
+    total += counters.range_count(addr_of_block(b), kBasicBlockSize);
+  });
   return total;
 }
 
@@ -57,33 +53,26 @@ ChunkNum LfuEviction::pick(const std::vector<ChunkNum>& candidates, const BlockT
 
 void tree_eviction_subtree_into(ChunkNum c, const BlockTable& table,
                                 std::vector<BlockNum>& out) {
-  const BlockNum first = first_block_of_chunk(c);
-  const std::uint32_t n = table.chunk_num_blocks(c);
-  if (n == 0) return;
-
   // LRU block among the chunk's resident blocks.
-  BlockNum lru = first;
+  BlockNum lru = 0;
   Cycle lru_ts = std::numeric_limits<Cycle>::max();
-  bool found = false;
-  for (BlockNum b = first; b < first + n; ++b) {
-    if (table.residence(b) == Residence::kDevice && table.block_last_access(b) < lru_ts) {
+  table.for_each_resident_block(c, [&](BlockNum b) {
+    if (table.block_last_access(b) < lru_ts) {
       lru_ts = table.block_last_access(b);
       lru = b;
-      found = true;
     }
-  }
-  if (!found) return;
+  });
+  if (lru_ts == std::numeric_limits<Cycle>::max()) return;
 
   // Grow the subtree around the LRU leaf while it stays fully resident.
+  const BlockNum first = first_block_of_chunk(c);
+  const std::uint32_t device = table.masks(c).device;
   const auto leaf = static_cast<std::uint32_t>(lru - first);
   std::uint32_t best_lo = leaf, best_size = 1;
-  for (std::uint32_t size = 2; size <= n; size <<= 1) {
+  for (std::uint32_t size = 2; size <= table.chunk_num_blocks(c); size <<= 1) {
     const std::uint32_t lo = leaf / size * size;
-    bool full = true;
-    for (std::uint32_t i = lo; i < lo + size && full; ++i) {
-      full = i < n && table.residence(first + i) == Residence::kDevice;
-    }
-    if (!full) break;
+    const std::uint32_t span = low_bits(size) << lo;
+    if ((device & span) != span) break;
     best_lo = lo;
     best_size = size;
   }
@@ -132,9 +121,8 @@ std::vector<BlockNum> EvictionManager::select_victims_reference(
   std::vector<ChunkNum> full, partial, busy_full, busy_partial;
   for (ChunkNum c = 0; c < table.num_chunks(); ++c) {
     if (q.has_faulting_chunk && c == q.faulting_chunk) continue;
-    const ChunkResidency& cr = table.chunk(c);
-    if (cr.resident_blocks == 0) continue;
-    const bool busy = q.protect_window != 0 && cr.last_access >= cutoff;
+    if (table.masks(c).device == 0) continue;
+    const bool busy = q.protect_window != 0 && table.chunk(c).last_access >= cutoff;
     const bool fully = table.chunk_fully_resident(c);
     (fully ? (busy ? busy_full : full) : (busy ? busy_partial : partial)).push_back(c);
   }
@@ -145,7 +133,7 @@ std::vector<BlockNum> EvictionManager::select_victims_reference(
                                                            : busy_partial;
   if (pool.empty()) return {};
   const ChunkNum victim = policy_->pick(pool, table, counters);
-  UVM_CHECK(table.chunk(victim).resident_blocks > 0,
+  UVM_CHECK(table.resident_blocks(victim) > 0,
             "EvictionManager: policy " << policy_->name() << " picked chunk "
                 << victim << " with no resident blocks");
   UVM_CHECK(!q.has_faulting_chunk || victim != q.faulting_chunk,
@@ -227,7 +215,7 @@ void EvictionManager::emit_victims(ChunkNum victim, const BlockTable& table,
   // Checked before the tree/granularity paths so neither can emit a partial
   // set out of a huge mapping.
   if (!splinter_on_evict_ && table.chunk_coalesced(victim)) {
-    out.reserve(out.size() + table.chunk(victim).resident_blocks);
+    out.reserve(out.size() + table.resident_blocks(victim));
     table.for_each_resident_block(victim, [&](BlockNum b) { out.push_back(b); });
     return;
   }
@@ -237,8 +225,8 @@ void EvictionManager::emit_victims(ChunkNum victim, const BlockTable& table,
     if (!out.empty()) return;
   }
 
-  if (granularity_ == kLargePageSize || table.chunk(victim).resident_blocks <= 1) {
-    out.reserve(out.size() + table.chunk(victim).resident_blocks);
+  if (granularity_ == kLargePageSize || table.resident_blocks(victim) <= 1) {
+    out.reserve(out.size() + table.resident_blocks(victim));
     table.for_each_resident_block(victim, [&](BlockNum b) { out.push_back(b); });
     return;
   }
@@ -280,7 +268,7 @@ void EvictionManager::select_victims_into(const BlockTable& table,
   }
   const ChunkNum victim = pick_fast(table, counters, q);
   if (victim == kNilChunk) return;
-  UVM_CHECK(table.chunk(victim).resident_blocks > 0,
+  UVM_CHECK(table.resident_blocks(victim) > 0,
             "EvictionManager: policy " << policy_->name() << " picked chunk "
                 << victim << " with no resident blocks");
   UVM_CHECK(!q.has_faulting_chunk || victim != q.faulting_chunk,

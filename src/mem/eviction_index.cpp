@@ -28,7 +28,7 @@ void EvictionIndex::attach(const BlockTable* table, const AccessCounterTable* co
   freq_stale_ = false;
 
   for (ChunkNum c = 0; c < n; ++c) {
-    if (table->chunk(c).resident_blocks == 0) continue;
+    if (table->masks(c).device == 0) continue;
     key_[c] = table->chunk(c).last_access;
     insert_sorted(c);
     in_list_[c] = 1;
@@ -106,7 +106,7 @@ void EvictionIndex::on_evicted(BlockNum b) {
                   << " (sum=" << sum << ')');
     freq_[c] -= sum;
   }
-  if (table_->chunk(c).resident_blocks == 0) {
+  if (table_->masks(c).device == 0) {
     UVM_CHECK(in_list_[c] != 0, "EvictionIndex: chunk " << c
                   << " emptied while absent from the candidate list");
     unlink(c);

@@ -1,18 +1,18 @@
 #include "prefetch/prefetcher.hpp"
 
-#include <algorithm>
 #include <bit>
 
 namespace uvmsim {
 
 namespace {
 
-/// True when `b` is a candidate for prefetching: mapped, host-resident, and
-/// not already selected.
-bool prefetchable(BlockNum b, const BlockTable& table, const std::vector<BlockNum>& out) {
-  if (b >= table.num_blocks()) return false;
-  if (table.residence(b) != Residence::kHost) return false;
-  return std::find(out.begin(), out.end(), b) == out.end();
+/// Leaves of chunk `c` that `out` already selected.
+std::uint32_t selected_in_chunk(ChunkNum c, const std::vector<BlockNum>& out) {
+  std::uint32_t bits = 0;
+  for (BlockNum sel : out) {
+    if (chunk_of_block(sel) == c) bits |= 1u << (sel - first_block_of_chunk(c));
+  }
+  return bits;
 }
 
 }  // namespace
@@ -21,13 +21,13 @@ void SequentialPrefetcher::expand(BlockNum b, const BlockTable& table,
                                   std::vector<BlockNum>& out) {
   const ChunkNum c = chunk_of_block(b);
   const BlockNum first = first_block_of_chunk(c);
-  const std::uint32_t n = table.chunk_num_blocks(c);
-  std::uint32_t taken = 0;
-  for (BlockNum nb = b + 1; nb < first + n && taken < degree_; ++nb) {
-    if (prefetchable(nb, table, out)) {
-      out.push_back(nb);
-      ++taken;
-    }
+  const auto leaf = static_cast<std::uint32_t>(b - first);
+  // Host-resident, unselected leaves above the demand leaf, lowest first.
+  std::uint32_t free = ~(table.masks(c).non_host | selected_in_chunk(c, out)) &
+                       low_bits(table.chunk_num_blocks(c)) & ~low_bits(leaf + 1);
+  for (std::uint32_t taken = 0; free != 0 && taken < degree_; ++taken) {
+    out.push_back(first + static_cast<std::uint32_t>(std::countr_zero(free)));
+    free &= free - 1;
   }
 }
 
@@ -39,7 +39,9 @@ void RandomPrefetcher::expand(BlockNum b, const BlockTable& table, std::vector<B
   // One random probe; a miss (occupied/duplicate) simply prefetches nothing,
   // mirroring the low hit rate that makes this baseline weak.
   const BlockNum nb = first + rng_.below(n);
-  if (nb != b && prefetchable(nb, table, out)) out.push_back(nb);
+  const std::uint32_t taken =
+      table.masks(c).non_host | selected_in_chunk(c, out) | (1u << (b - first));
+  if (((taken >> (nb - first)) & 1u) == 0) out.push_back(nb);
 }
 
 std::uint32_t TreePrefetcher::expand_mask(std::uint32_t occupied, std::uint32_t leaf,
@@ -48,9 +50,7 @@ std::uint32_t TreePrefetcher::expand_mask(std::uint32_t occupied, std::uint32_t 
   std::uint32_t selected = 0;
   // Subtree sizes 2, 4, ..., num_leaves containing the faulted leaf.
   for (std::uint32_t size = 2; size <= num_leaves; size <<= 1) {
-    const std::uint32_t lo = leaf / size * size;
-    const std::uint32_t mask =
-        (size >= 32 ? 0xffffffffu : ((1u << size) - 1u)) << lo;
+    const std::uint32_t mask = low_bits(size) << (leaf / size * size);
     const std::uint32_t present = (occupied | selected) & mask;
     const auto count = static_cast<std::uint32_t>(std::popcount(present));
     if (count * 2 > size) {
@@ -68,29 +68,16 @@ void TreePrefetcher::expand(BlockNum b, const BlockTable& table, std::vector<Blo
   const std::uint32_t n = table.chunk_num_blocks(c);
   if (n <= 1) return;
 
-  // Occupancy bitmap: device-resident, in-flight, already-selected leaves,
-  // and the demand leaf itself.
-  std::uint32_t occupied = 0;
-  for (std::uint32_t i = 0; i < n; ++i) {
-    const Residence r = table.residence(first + i);
-    if (r != Residence::kHost) occupied |= 1u << i;
-  }
-  for (BlockNum sel : out) {
-    if (chunk_of_block(sel) == c) occupied |= 1u << static_cast<std::uint32_t>(sel - first);
-  }
+  // Occupied leaves: device-resident, in-flight, already selected, and the
+  // demand leaf itself. Selected leaves are therefore host-resident and
+  // new; subtrees stay below leaf n because AddressSpace rounds chunk block
+  // counts to powers of two, and the low_bits(n) mask keeps that true for
+  // any n.
   const auto leaf = static_cast<std::uint32_t>(b - first);
-  occupied |= 1u << leaf;
-
-  // Selected leaves are unoccupied (host-resident, not in `out`, not the
-  // demand leaf), so they need no re-check. Subtrees stay below leaf n
-  // because AddressSpace rounds chunk block counts to powers of two; the
-  // mask keeps that true for any n.
-  std::uint32_t mask = expand_mask(occupied, leaf, n) & (n >= 32 ? ~0u : (1u << n) - 1u);
-  while (mask != 0) {
-    const auto i = static_cast<std::uint32_t>(std::countr_zero(mask));
-    mask &= mask - 1;
-    out.push_back(first + i);
-  }
+  const std::uint32_t occupied =
+      table.masks(c).non_host | selected_in_chunk(c, out) | (1u << leaf);
+  for_each_bit(expand_mask(occupied, leaf, n) & low_bits(n),
+               [&](std::uint32_t i) { out.push_back(first + i); });
 }
 
 std::unique_ptr<Prefetcher> make_prefetcher(PrefetcherKind kind, std::uint64_t seed) {

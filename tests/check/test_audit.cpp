@@ -116,11 +116,34 @@ TEST_F(AuditTest, CorruptBlockResidenceIsCaught) {
 
 TEST_F(AuditTest, CorruptChunkAggregateIsCaught) {
   migrate(0, 5);
-  table_->chunk(0).resident_blocks = 7;  // scan says 1
+  table_->testonly_corrupt_masks(0, ChunkMasks{0x7f, 0x7f});  // scan says 0x1
   InvariantAuditor aud = auditor();
   const AuditReport r = aud.audit_now(scope());
   EXPECT_FALSE(r.clean());
-  EXPECT_TRUE(mentions(r, "aggregate resident_blocks=7"));
+  EXPECT_TRUE(mentions(r, "masks device=0x7f non_host=0x7f but block scan gives device=0x1"));
+}
+
+TEST_F(AuditTest, CorruptNonHostMaskIsCaught) {
+  migrate(0, 5);
+  table_->mark_in_flight(3);
+  // Drop the in-flight bit only: the device mask still agrees with the scan.
+  table_->testonly_corrupt_masks(0, ChunkMasks{0x1, 0x1});
+  InvariantAuditor aud = auditor();
+  const AuditReport r = aud.audit_now(scope());
+  EXPECT_FALSE(r.clean());
+  EXPECT_TRUE(mentions(r, "non_host=0x1 but block scan gives device=0x1 non_host=0x9"));
+}
+
+TEST_F(AuditTest, MaskBitBeyondMappedBlocksIsCaught) {
+  AddressSpace space;
+  space.allocate("tail", 4 * kBasicBlockSize);  // one chunk, 4 mapped blocks
+  BlockTable table(space);
+  table.testonly_corrupt_masks(0, ChunkMasks{0, 0x10});
+  AuditScope s;
+  s.table = &table;
+  InvariantAuditor aud = auditor();
+  const AuditReport r = aud.audit_now(s);
+  EXPECT_TRUE(mentions(r, "has bits beyond its 4 mapped blocks"));
 }
 
 TEST_F(AuditTest, DirtyHostBlockIsCaught) {
@@ -163,7 +186,7 @@ TEST_F(AuditTest, HistoricCounterRollbackIsCaught) {
 
 TEST_F(AuditTest, FailFastOnEventThrowsAndRecordsStats) {
   migrate(0, 5);
-  table_->chunk(0).resident_blocks = 3;
+  table_->testonly_corrupt_masks(0, ChunkMasks{0x7, 0x7});
   InvariantAuditor aud = auditor(/*interval=*/1, /*fail_fast=*/true);
   EXPECT_THROW(aud.on_event(scope(), stats_), CheckFailure);
   EXPECT_GE(stats_.audit_violations, 1u);
@@ -172,7 +195,7 @@ TEST_F(AuditTest, FailFastOnEventThrowsAndRecordsStats) {
 
 TEST_F(AuditTest, NonFailFastAccumulatesViolations) {
   migrate(0, 5);
-  table_->chunk(0).resident_blocks = 3;
+  table_->testonly_corrupt_masks(0, ChunkMasks{0x7, 0x7});
   InvariantAuditor aud = auditor(/*interval=*/1, /*fail_fast=*/false);
   EXPECT_NO_THROW(aud.on_event(scope(), stats_));
   EXPECT_NO_THROW(aud.on_event(scope(), stats_));

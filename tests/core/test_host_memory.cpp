@@ -68,7 +68,7 @@ TEST(HostMemory, MultiGpuContentionShowsWithManyGpus) {
     cfg.gpu.warps_per_sm = 2;
     cfg.xfer.host_memory_bandwidth_gbps = host_gbps;
     auto wl = make_workload("fdtd", params);
-    MultiGpuSimulator sim(cfg, MultiGpuConfig{4, /*split_capacity=*/false});
+    MultiGpuSimulator sim(cfg, MultiGpuConfig{4, /*split_capacity=*/false, {}});
     return sim.run(*wl).makespan;
   };
 

@@ -94,7 +94,7 @@ TEST(AddressSpace, ManyAllocationsBinarySearch) {
   std::vector<AllocId> ids;
   for (int i = 0; i < 50; ++i) {
     const std::uint64_t size = std::uint64_t{65536} * static_cast<std::uint64_t>(1 + i % 5);
-    ids.push_back(s.allocate("r" + std::to_string(i), size));
+    ids.push_back(s.allocate(std::string("r").append(std::to_string(i)), size));
   }
   for (const AllocId id : ids) {
     const Allocation& a = s.alloc(id);

@@ -23,7 +23,7 @@ TEST_F(BlockTableTest, StartsHostResident) {
     EXPECT_FALSE(table_->block(b).dirty);
     EXPECT_EQ(table_->block(b).round_trips, 0u);
   }
-  EXPECT_EQ(table_->chunk(0).resident_blocks, 0u);
+  EXPECT_EQ(table_->resident_blocks(0), 0u);
 }
 
 TEST_F(BlockTableTest, MigrationLifecycle) {
@@ -31,14 +31,14 @@ TEST_F(BlockTableTest, MigrationLifecycle) {
   EXPECT_EQ(table_->block(3).residence, Residence::kInFlight);
   table_->mark_resident(3, 100);
   EXPECT_EQ(table_->block(3).residence, Residence::kDevice);
-  EXPECT_EQ(table_->chunk(0).resident_blocks, 1u);
+  EXPECT_EQ(table_->resident_blocks(0), 1u);
   EXPECT_EQ(table_->chunk(0).migrated_at, 100u);
 
   const bool dirty = table_->mark_evicted(3);
   EXPECT_FALSE(dirty);
   EXPECT_EQ(table_->block(3).residence, Residence::kHost);
   EXPECT_EQ(table_->block(3).round_trips, 1u);
-  EXPECT_EQ(table_->chunk(0).resident_blocks, 0u);
+  EXPECT_EQ(table_->resident_blocks(0), 0u);
 }
 
 TEST_F(BlockTableTest, WriteWhileResidentMakesDirty) {
@@ -184,7 +184,7 @@ TEST(BlockTableBoundary, FinalPartialChunkCountsAndResidency) {
   // Evicting one tail block drops the flag again (aggregate bookkeeping).
   t.mark_evicted(first + 1);
   EXPECT_FALSE(t.chunk_fully_resident(1));
-  EXPECT_EQ(t.chunk(1).resident_blocks, 3u);
+  EXPECT_EQ(t.resident_blocks(1), 3u);
 }
 
 }  // namespace

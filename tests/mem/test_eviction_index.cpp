@@ -119,7 +119,7 @@ class IndexHarness {
     const EvictionIndex& idx = manager_->index();
     std::uint64_t listed = 0;
     for (ChunkNum c = 0; c < table_->num_chunks(); ++c) {
-      ASSERT_EQ(idx.in_list(c), table_->chunk(c).resident_blocks > 0) << "chunk " << c;
+      ASSERT_EQ(idx.in_list(c), table_->resident_blocks(c) > 0) << "chunk " << c;
       if (!idx.in_list(c)) continue;
       ++listed;
       EXPECT_EQ(idx.frequency(c), LfuEviction::chunk_frequency(c, *table_, *counters_))

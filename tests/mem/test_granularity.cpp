@@ -76,7 +76,7 @@ TEST(Granularity, EvictingCoalescedBlockWithoutSplinterThrows) {
   EXPECT_THROW(t.mark_evicted(0), CheckFailure);
   t.splinter(0);
   t.mark_evicted(0);  // legal after the demotion
-  EXPECT_EQ(t.chunk(0).resident_blocks, kBlocksPerLargePage - 1);
+  EXPECT_EQ(t.resident_blocks(0), kBlocksPerLargePage - 1);
 }
 
 TEST(Granularity, SplinterOnSplitChunkThrows) {
@@ -99,14 +99,14 @@ TEST(Granularity, RandomizedHistoryPreservesInvariants) {
   Cycle now = 1;
   // Only mapped blocks participate: the VA span's 2 MB padding leaves the
   // tail chunk with unmapped trailing blocks the driver never migrates.
-  const auto mapped = [&](BlockNum b) {
+  const auto is_mapped = [&](BlockNum b) {
     const ChunkNum c = chunk_of_block(b);
     return b < first_block_of_chunk(c) + t.chunk_num_blocks(c);
   };
   for (int step = 0; step < 4000; ++step) {
     now += rng.below(3);
     const BlockNum b = rng.below(t.num_blocks());
-    if (!mapped(b)) continue;
+    if (!is_mapped(b)) continue;
     const ChunkNum c = chunk_of_block(b);
     switch (rng.below(6)) {
       case 0:

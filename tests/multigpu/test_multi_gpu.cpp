@@ -69,7 +69,7 @@ TEST(MultiGpu, RunsAllBenchmarksToCompletion) {
   params.scale = 0.1;
   for (const auto& name : {"fdtd", "bfs"}) {
     auto wl = make_workload(name, params);
-    MultiGpuSimulator sim(small_cfg(), MultiGpuConfig{2, true});
+    MultiGpuSimulator sim(small_cfg(), MultiGpuConfig{2, true, {}});
     const MultiGpuResult r = sim.run(*wl);
     ASSERT_EQ(r.per_gpu.size(), 2u);
     EXPECT_GT(r.makespan, 0u);
@@ -89,7 +89,7 @@ TEST(MultiGpu, MatchesSingleGpuAccessTotals) {
   Simulator single(small_cfg());
   const RunResult sr = single.run(*wl1);
 
-  MultiGpuSimulator multi(small_cfg(), MultiGpuConfig{2, false});
+  MultiGpuSimulator multi(small_cfg(), MultiGpuConfig{2, false, {}});
   const MultiGpuResult mr = multi.run(*wl2);
 
   // Same work, split two ways: transaction totals must be identical.
@@ -103,11 +103,11 @@ TEST(MultiGpu, SplitCapacityDividesDeviceMemory) {
   cfg.mem.oversubscription = 1.25;
 
   auto wl1 = make_workload("ra", params);
-  MultiGpuSimulator split(cfg, MultiGpuConfig{2, true});
+  MultiGpuSimulator split(cfg, MultiGpuConfig{2, true, {}});
   const MultiGpuResult a = split.run(*wl1);
 
   auto wl2 = make_workload("ra", params);
-  MultiGpuSimulator full(cfg, MultiGpuConfig{2, false});
+  MultiGpuSimulator full(cfg, MultiGpuConfig{2, false, {}});
   const MultiGpuResult b = full.run(*wl2);
 
   EXPECT_LT(a.capacity_bytes_per_gpu, b.capacity_bytes_per_gpu);
@@ -126,8 +126,8 @@ TEST(MultiGpu, AdaptiveReducesThrashAcrossGpus) {
 
   auto wl1 = make_workload("sssp", params);
   auto wl2 = make_workload("sssp", params);
-  const MultiGpuResult b = MultiGpuSimulator(base, MultiGpuConfig{2, true}).run(*wl1);
-  const MultiGpuResult a = MultiGpuSimulator(adaptive, MultiGpuConfig{2, true}).run(*wl2);
+  const MultiGpuResult b = MultiGpuSimulator(base, MultiGpuConfig{2, true, {}}).run(*wl1);
+  const MultiGpuResult a = MultiGpuSimulator(adaptive, MultiGpuConfig{2, true, {}}).run(*wl2);
 
   EXPECT_LT(a.aggregate.pages_thrashed, b.aggregate.pages_thrashed);
   EXPECT_LT(a.makespan, b.makespan);
@@ -138,14 +138,14 @@ TEST(MultiGpu, DeterministicAcrossRuns) {
   params.scale = 0.1;
   auto wl1 = make_workload("bfs", params);
   auto wl2 = make_workload("bfs", params);
-  const MultiGpuResult a = MultiGpuSimulator(small_cfg(), MultiGpuConfig{2, true}).run(*wl1);
-  const MultiGpuResult b = MultiGpuSimulator(small_cfg(), MultiGpuConfig{2, true}).run(*wl2);
+  const MultiGpuResult a = MultiGpuSimulator(small_cfg(), MultiGpuConfig{2, true, {}}).run(*wl1);
+  const MultiGpuResult b = MultiGpuSimulator(small_cfg(), MultiGpuConfig{2, true, {}}).run(*wl2);
   EXPECT_EQ(a.makespan, b.makespan);
   EXPECT_EQ(a.aggregate.far_faults, b.aggregate.far_faults);
 }
 
 TEST(MultiGpu, ZeroGpusRejected) {
-  EXPECT_THROW(MultiGpuSimulator(small_cfg(), MultiGpuConfig{0, true}),
+  EXPECT_THROW(MultiGpuSimulator(small_cfg(), MultiGpuConfig{0, true, {}}),
                std::invalid_argument);
 }
 

@@ -71,8 +71,8 @@ TEST(PeerIntegration, SharedReadDataIsServedPeerToPeer) {
   cfg.mem.eviction = EvictionKind::kLfu;
   cfg.mem.oversubscription = 1.25;
 
-  MultiGpuConfig no_peer{2, true};
-  MultiGpuConfig with_peer{2, true};
+  MultiGpuConfig no_peer{2, true, {}};
+  MultiGpuConfig with_peer{2, true, {}};
   with_peer.peer = fabric();
 
   auto wl1 = make_workload("bfs", params);
@@ -97,7 +97,7 @@ TEST(PeerIntegration, SingleGpuNeverUsesPeerPath) {
   cfg.gpu.warps_per_sm = 2;
   cfg.policy.policy = PolicyKind::kAdaptive;
   cfg.mem.oversubscription = 1.25;
-  MultiGpuConfig mg{1, true};
+  MultiGpuConfig mg{1, true, {}};
   mg.peer = fabric();
   auto wl = make_workload("ra", params);
   const MultiGpuResult r = MultiGpuSimulator(cfg, mg).run(*wl);
